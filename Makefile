@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify chaos chaos-restart chaos-net bench bench-sim bench-runstore loadtest loadtest-fleet loadtest-stream examples
+.PHONY: build test vet race perfbench verify chaos chaos-restart chaos-net bench bench-sim bench-runstore loadtest loadtest-fleet loadtest-stream examples
 
 build:
 	$(GO) build ./...
@@ -19,7 +19,13 @@ vet:
 race:
 	$(GO) test -race ./internal/...
 
-verify: vet build test race
+# perfbench is a separate module that ./... skips; vet and test it too so
+# a change to an API it compiles against fails here, not at benchmark time.
+perfbench:
+	$(GO) -C perfbench vet .
+	$(GO) -C perfbench test .
+
+verify: vet build test race perfbench
 
 # The fault-injection suite (DESIGN.md §10): seeded kill/heal campaigns,
 # flaky carves, retry/requeue recovery — under the race detector.

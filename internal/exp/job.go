@@ -135,6 +135,14 @@ func RunJob(j Job, configure func(*World) error) (*JobOutcome, error) {
 		rep    *Report
 		conv   bool
 	)
+	// Stop the finished world's kernel once its artifacts are rendered:
+	// it wakes every still-parked process so its goroutine exits, instead
+	// of pinning the whole world for the life of the caller.
+	defer func() {
+		if w != nil {
+			w.Sim.Stop()
+		}
+	}()
 	switch j.Scenario {
 	case ScenarioQuickstart:
 		w, rep, conv, err = runQuickstartJob(j, configure)
@@ -293,6 +301,7 @@ func runQuickstartJob(j Job, configure func(*World) error) (*World, *Report, boo
 	if err != nil {
 		return nil, nil, false, err
 	}
+	// From here on w is returned on error too, so RunJob stops it.
 	err = w.SV.Compose(&wms.WorkflowSpec{
 		ID: quickstartWorkflowID,
 		Tasks: []wms.TaskConfig{
@@ -317,7 +326,7 @@ func runQuickstartJob(j Job, configure func(*World) error) (*World, *Report, boo
 		},
 	})
 	if err != nil {
-		return nil, nil, false, err
+		return w, nil, false, err
 	}
 	xml := j.XML
 	if xml == "" {
@@ -330,17 +339,17 @@ func runQuickstartJob(j Job, configure func(*World) error) (*World, *Report, boo
 		GatherWindow: 5 * time.Second,
 	}}
 	if err := w.StartOrchestration(xml, opts); err != nil {
-		return nil, nil, false, err
+		return w, nil, false, err
 	}
 	if configure != nil {
 		if err := configure(w); err != nil {
-			return nil, nil, false, err
+			return w, nil, false, err
 		}
 	}
 	w.Launch(quickstartWorkflowID)
 	end, err := w.RunUntilWorkflowDone(quickstartWorkflowID, 4*time.Hour)
 	if err != nil {
-		return nil, nil, false, err
+		return w, nil, false, err
 	}
 	w.Rec.CloseOpen()
 

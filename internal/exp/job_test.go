@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -40,6 +41,30 @@ func TestRunJobQuickstartDeterministic(t *testing.T) {
 	}
 	if rep.ID != "Quickstart" || len(rep.Rows) == 0 {
 		t.Fatalf("unexpected report: %+v", rep)
+	}
+}
+
+// TestRunJobReleasesWorld pins that a finished job leaves no goroutines
+// behind: the world's parked DES processes are stopped, so a long-lived
+// caller (the campaign service's worker pool, a fleet worker) does not
+// pin one world per completed run.
+func TestRunJobReleasesWorld(t *testing.T) {
+	const runs = 20
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	for i := 0; i < runs; i++ {
+		if _, err := RunJob(Job{Scenario: ScenarioQuickstart, Machine: "dt2", Seed: int64(i)}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Stopped processes finish exiting asynchronously; give them a moment.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after %d jobs, %d before: finished worlds leak",
+				runtime.NumGoroutine(), runs, base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

@@ -609,7 +609,11 @@ func (s *Store) readDocLocked(rs *runState) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var e entry
+	// Decode only the document: the caller already has the meta, and
+	// queries run this under the read lock that appends wait on.
+	var e struct {
+		Doc json.RawMessage `json:"doc"`
+	}
 	if err := json.Unmarshal(rec.Data, &e); err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"log"
 	"os"
@@ -11,8 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"dyflow/internal/ckpt"
 	"dyflow/internal/exp"
+	"dyflow/internal/runstore"
 )
 
 // TestRestoreOverCapacityQueue is the restore-backpressure regression: a
@@ -99,12 +100,12 @@ func TestRestoreOrphanedCachedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Handcraft the crash WAL the bug needs: run A acknowledged and caught
-	// mid-execution (submit record only, no terminal record), run B
-	// journaled as a cached done run with no artifact references of its
+	// Handcraft the crash run log the bug needs: run A acknowledged and
+	// caught mid-execution (queued record only, no terminal record), run B
+	// recorded as a cached done run with no artifact references of its
 	// own — it pointed at A's in-memory artifacts, which died with the
 	// process.
-	store, err := ckpt.NewStore(dir)
+	store, err := runstore.Open(runstore.Options{Dir: filepath.Join(dir, "runs")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,13 +116,24 @@ func TestRestoreOrphanedCachedRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	must(store.Append(kindSubmit, persistedRun{
+	appendRun := func(p persistedRun) {
+		t.Helper()
+		doc, err := json.Marshal(p)
+		must(err)
+		must(store.Append(runstore.Meta{
+			ID: p.ID, Tenant: p.Tenant, Scenario: p.Job.Scenario, Key: p.Job.Key(),
+			State: string(p.State), Terminal: p.State.Terminal(), Cached: p.Cached,
+			Converged: p.Converged, SubmittedAtNs: p.SubmittedAt.UnixNano(),
+		}, doc))
+	}
+	appendRun(persistedRun{
 		ID: "run-000000", Tenant: "alice", Job: job, State: StateQueued, SubmittedAt: now,
-	}))
-	must(store.Append(kindSubmit, persistedRun{
+	})
+	appendRun(persistedRun{
 		ID: "run-000001", Tenant: "bob", Job: job, State: StateDone, Cached: true,
 		Converged: true, SubmittedAt: now, FinishedAt: now,
-	}))
+	})
+	must(store.Close())
 
 	s, err := New(Config{Workers: 1, TenantQuota: -1, CkptDir: dir})
 	if err != nil {
@@ -196,26 +208,6 @@ func TestRestoreMissingBlobsRequeues(t *testing.T) {
 	}
 }
 
-// flakyJournal fails appends for selected record kinds — injected in place
-// of the real ckpt.Store to prove journal failures are observable.
-type flakyJournal struct {
-	mu   sync.Mutex
-	fail map[string]bool
-}
-
-func (f *flakyJournal) Append(kind string, v any) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.fail[kind] {
-		return fmt.Errorf("flaky journal: append %s refused", kind)
-	}
-	return nil
-}
-func (f *flakyJournal) SaveSnapshot([]byte) error            { return nil }
-func (f *flakyJournal) JournalSize() int64                   { return 0 }
-func (f *flakyJournal) LoadSnapshot() ([]byte, error)        { return nil, os.ErrNotExist }
-func (f *flakyJournal) Replay(func(ckpt.Record) error) error { return nil }
-
 // syncBuf is a logger sink safe to read while worker goroutines log.
 type syncBuf struct {
 	mu  sync.Mutex
@@ -235,7 +227,7 @@ func (b *syncBuf) String() string {
 }
 
 // TestJournalFailuresObservable is the journal-observability regression:
-// a failed WAL append — durability silently lost before the fix — must
+// a failed run-log append — durability silently lost before the fix — must
 // increment dyflow_server_journal_errors_total and reach the configured
 // logger, on both the submit path and the terminal-transition path.
 func TestJournalFailuresObservable(t *testing.T) {
@@ -245,10 +237,29 @@ func TestJournalFailuresObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	journal := &flakyJournal{fail: map[string]bool{kindSubmit: true}}
+	started := make(chan struct{})
+	release := make(chan struct{})
 	s.mu.Lock()
-	s.store = journal
+	s.beforeRun = func(*Run) {
+		close(started)
+		<-release
+	}
 	s.mu.Unlock()
+
+	// Hold one accepted run in the running state, then break the run log
+	// under it.
+	held, err := s.Submit("alice", quick(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run never started")
+	}
+	if err := s.History().Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Submit-path failure: the submission is refused (never acknowledged
 	// without durability) and the failure is counted.
@@ -261,14 +272,8 @@ func TestJournalFailuresObservable(t *testing.T) {
 
 	// Terminal-path failure: the run still finishes (re-execution after a
 	// restart is deterministic) but the lost durability is counted.
-	journal.mu.Lock()
-	journal.fail = map[string]bool{kindDone: true}
-	journal.mu.Unlock()
-	st, err := s.Submit("alice", quick(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st = await(t, s, st.ID); st.State != StateDone {
+	close(release)
+	if st := await(t, s, held.ID); st.State != StateDone {
 		t.Fatalf("run ended %s with failing done-append", st.State)
 	}
 	if v, _ := s.Registry().Value("dyflow_server_journal_errors_total"); v != 2 {
@@ -279,5 +284,133 @@ func TestJournalFailuresObservable(t *testing.T) {
 	}
 	if text := metricsText(t, s); !strings.Contains(text, "dyflow_server_journal_errors_total 2") {
 		t.Fatal("journal_errors_total missing from the Prometheus exposition")
+	}
+}
+
+// TestKillRestartKeepsEveryTransition covers each transition the run log
+// records across a kill: a run that completed, a cache-hit submission, a
+// run caught running, a queued run that was canceled, and a run left
+// queued. After a hard Close and a restart on the same directory every
+// run is listed with the state its client saw — the interrupted run back
+// in the queue — and run IDs continue past the highest recorded one.
+func TestKillRestartKeepsEveryTransition(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := New(Config{Workers: 1, TenantQuota: -1, CkptDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done, err := s1.Submit("alice", quick(11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if done = await(t, s1, done.ID); done.State != StateDone {
+		t.Fatalf("run %s ended %s: %s", done.ID, done.State, done.Error)
+	}
+	hit, err := s1.Submit("bob", quick(11))
+	if err != nil || !hit.Cached || hit.State != StateDone {
+		t.Fatalf("resubmission not a cache hit: %v %+v", err, hit)
+	}
+
+	// Hold the only worker so the next submissions stay queued.
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	s1.mu.Lock()
+	s1.beforeRun = func(*Run) {
+		once.Do(func() { close(started) })
+		<-release
+	}
+	s1.mu.Unlock()
+	running, err := s1.Submit("alice", quick(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("run never started")
+	}
+	canceled, err := s1.Submit("bob", quick(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canceled, err = s1.Cancel(canceled.ID); err != nil || canceled.State != StateCanceled {
+		t.Fatalf("cancel of a queued run: %v %+v", err, canceled)
+	}
+	queued, err := s1.Submit("carol", quick(14))
+	if err != nil || queued.State != StateQueued {
+		t.Fatalf("submit: %v %+v", err, queued)
+	}
+
+	// Kill: freeze the run log where the crash hits, then reap the process.
+	if err := s1.History().Close(); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	s1.Close()
+
+	s2, err := New(Config{Workers: -1, TenantQuota: -1, CkptDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	want := map[string]RunState{
+		done.ID:     StateDone,
+		hit.ID:      StateDone,
+		running.ID:  StateQueued, // interrupted mid-execution: requeued
+		canceled.ID: StateCanceled,
+		queued.ID:   StateQueued,
+	}
+	listed := s2.Runs()
+	if len(listed) != len(want) {
+		t.Fatalf("restored %d runs, want %d: %+v", len(listed), len(want), listed)
+	}
+	for _, st := range listed {
+		if st.State != want[st.ID] {
+			t.Fatalf("run %s restored as %s, want %s", st.ID, st.State, want[st.ID])
+		}
+	}
+	if st, _ := s2.RunStatus(hit.ID); !st.Cached {
+		t.Fatalf("cache-hit run %s lost its cached flag: %+v", hit.ID, st)
+	}
+	for _, id := range []string{done.ID, hit.ID} {
+		if blob, err := s2.Artifact(id, exp.ArtifactReport); err != nil || len(blob) == 0 {
+			t.Fatalf("run %s report after restart: %v (%d bytes)", id, err, len(blob))
+		}
+	}
+	if v := counter(t, s2, "dyflow_server_restore_requeued_total"); v != 2 {
+		t.Fatalf("restore_requeued_total = %v, want 2", v)
+	}
+	next, err := s2.Submit("dave", quick(15))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.ID != "run-000005" {
+		t.Fatalf("first run after restart is %s, want run-000005", next.ID)
+	}
+}
+
+// TestRestoreIgnoresLegacyFiles pins that a WAL or snapshot left by the
+// retired journal persistence is never read, only named in a warning.
+func TestRestoreIgnoresLegacyFiles(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{"snapshot.ckpt", "journal.wal"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("not a record"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink := &syncBuf{}
+	s, err := New(Config{Workers: -1, CkptDir: dir, Logger: log.New(sink, "", 0)})
+	if err != nil {
+		t.Fatalf("boot over legacy files: %v", err)
+	}
+	defer s.Close()
+	for _, name := range []string{"snapshot.ckpt", "journal.wal"} {
+		if !strings.Contains(sink.String(), name) {
+			t.Fatalf("no warning names legacy %s:\n%s", name, sink.String())
+		}
+	}
+	if got := len(s.Runs()); got != 0 {
+		t.Fatalf("restored %d runs from legacy files", got)
 	}
 }

@@ -5,9 +5,10 @@
 // world per worker slot — and serves the finished artifacts. Because runs
 // are byte-deterministic in the job value, results are cached by job key
 // and re-submissions are answered without re-simulating; because every
-// acknowledged transition is journaled through internal/ckpt, a killed
-// server restarts with no acknowledged submission lost. docs/SERVICE.md is
-// the narrative description.
+// transition is appended to one durable run log (internal/runstore) — a
+// submission before it is acknowledged — a killed server restarts with no
+// acknowledged submission lost. docs/SERVICE.md is the narrative
+// description.
 package server
 
 import (
@@ -24,7 +25,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dyflow/internal/exp"
@@ -60,9 +60,11 @@ type Config struct {
 	// TenantQuota caps one tenant's in-flight (queued + running) runs;
 	// submissions beyond it get 429. 0 means 8; negative means unlimited.
 	TenantQuota int
-	// CkptDir, when set, persists the queue and completed-run index
-	// through a ckpt.Store there (artifact blobs under CkptDir/blobs),
-	// surviving kill -9.
+	// CkptDir, when set, persists every run in the run log under
+	// CkptDir/runs and artifact blobs under CkptDir/blobs, surviving
+	// kill -9 (appends are not fsynced, so an OS crash can lose the log's
+	// tail). Files left there by the retired WAL persistence
+	// (snapshot.ckpt, journal.wal) are ignored with a warning.
 	CkptDir string
 	// LeaseTTL is how long a fleet worker's claim on a run stays valid
 	// without a heartbeat before the coordinator requeues the run.
@@ -73,15 +75,7 @@ type Config struct {
 	// consumer misses overwritten events — counted, never blocking the
 	// run.
 	EventBuffer int
-	// JournalBudget bounds how long an API path waits for a WAL append
-	// before shedding it to the background writer (degraded mode: the
-	// transition is acknowledged while its append completes late, counted
-	// in dyflow_server_degraded_sheds_total{component="journal"}). Append
-	// *failures* inside the budget keep their synchronous semantics —
-	// a submission whose journal write fails is still refused. 0 means
-	// 250ms.
-	JournalBudget time.Duration
-	// Logger receives operational messages — journal failures, HTTP serve
+	// Logger receives operational messages — run-log failures, HTTP serve
 	// errors. Nil means a stderr logger.
 	Logger *log.Logger
 	// Metrics receives the dyflow_server_* families. Nil means a private
@@ -90,10 +84,6 @@ type Config struct {
 	// RunstoreSegmentBytes is the run-history store's segment rotation
 	// threshold (0 = runstore.DefaultSegmentBytes).
 	RunstoreSegmentBytes int64
-	// SnapshotJournalBytes triggers a snapshot+journal-reset once the WAL
-	// passes this size, bounding journal growth between graceful
-	// shutdowns (0 = 4 MiB; negative = size-triggered snapshots off).
-	SnapshotJournalBytes int64
 	// RetentionMaxAge deletes terminal runs from the history store once
 	// their FinishedAt is older than this (0 = keep forever).
 	RetentionMaxAge time.Duration
@@ -107,8 +97,8 @@ type Config struct {
 }
 
 // Server is the campaign service's coordinator: admission, quotas, the
-// deterministic result cache, the ckpt WAL, the content-addressed blob
-// store, and the fleet lease manager. Runs execute either on the local
+// deterministic result cache, the durable run log, the content-addressed
+// blob store, and the fleet lease manager. Runs execute either on the local
 // worker pool (cfg.Workers) or on remote fleet workers claiming over the
 // worker API — both drain the same sharded queue.
 type Server struct {
@@ -116,18 +106,18 @@ type Server struct {
 	reg    *obs.Registry
 	met    *metrics
 	queue  *shardedQueue
-	store  journalStore // nil when persistence is off
 	blobs  *fleet.BlobStore
 	fleet  *fleet.Manager
 	events *events.Journal
 	logger *log.Logger
 
-	// history is the durable, indexed run store (internal/runstore):
-	// every state transition is appended, terminal runs are evicted from
-	// the resident map once recorded, and list/filter queries serve from
-	// its indexes. Memory-only when persistence is off (same API). Lock
-	// order: s.mu may be held while calling into history, never the
-	// reverse (EachMeta callbacks must not touch s.mu).
+	// history is the durable, indexed run log (internal/runstore) and the
+	// coordinator's only persistence: every state transition is appended,
+	// terminal runs are evicted from the resident map once recorded, and
+	// list/filter queries serve from its indexes. Memory-only when
+	// persistence is off (same API). Lock order: s.mu may be held while
+	// appending, never the reverse (EachMeta callbacks must not touch
+	// s.mu); document reads happen without s.mu.
 	history *runstore.Store
 
 	// stopped closes when shutdown begins, waking SSE streams so they
@@ -155,16 +145,6 @@ type Server struct {
 	retWg   sync.WaitGroup // background retention sweeper
 	httpSrv *http.Server
 	ln      net.Listener
-
-	// The budgeted journal writer (persist.go): appends run on jq's
-	// single writer goroutine; callers wait up to cfg.JournalBudget
-	// before shedding to degraded mode.
-	jq      chan jreq
-	jwg     sync.WaitGroup
-	jonce   sync.Once
-	jmu     sync.RWMutex // guards jclosed vs enqueues racing a hard Close
-	jclosed bool
-	jsheds  atomic.Int64 // shed appends still in flight
 
 	// beforeRun, when set (tests), runs just before a claimed run starts
 	// executing — it can block to hold the run in the running state.
@@ -234,11 +214,6 @@ func New(cfg Config) (*Server, error) {
 			s.fleet.Close()
 			return nil, fmt.Errorf("server: run store: %w", err)
 		}
-	}
-	if s.store != nil {
-		s.jq = make(chan jreq, journalQueueDepth)
-		s.jwg.Add(1)
-		go s.journalWriter()
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -323,24 +298,21 @@ func (s *Server) runMetaLocked(r *Run) runstore.Meta {
 	return m
 }
 
-// historyAppendLocked records r's current state in the run-history
-// store, reporting success. Caller holds the server mutex (the store
-// has its own lock; s.mu → store is the only allowed order). A failed
-// append is logged and counted by the store — the run simply stays
+// historyAppendLocked records r's current state in the run log. Caller
+// holds the server mutex (the store has its own lock; s.mu → store is the
+// only allowed order). A failed append is durability loss: it is counted
+// in dyflow_server_journal_errors_total and logged, and the run stays
 // resident until a later transition records it.
-func (s *Server) historyAppendLocked(r *Run) bool {
-	if s.history == nil {
-		return false
-	}
+func (s *Server) historyAppendLocked(r *Run) error {
 	doc, err := json.Marshal(r.persisted())
 	if err == nil {
 		err = s.history.Append(s.runMetaLocked(r), doc)
 	}
 	if err != nil {
-		s.logf("server: history append %s: %v", r.ID, err)
-		return false
+		s.met.journalErrs.Inc()
+		s.logf("server: journal append %s (%s): %v", r.ID, r.State, err)
 	}
-	return true
+	return err
 }
 
 // evictTerminalLocked drops a terminal run from the resident map once
@@ -376,24 +348,6 @@ func (s *Server) retainRingLocked(id string) {
 	}
 }
 
-// historyPersistedLocked fetches an evicted run's full document from the
-// history store. Caller holds the server mutex.
-func (s *Server) historyPersistedLocked(id string) (persistedRun, bool) {
-	if s.history == nil {
-		return persistedRun{}, false
-	}
-	it, ok := s.history.Get(id)
-	if !ok {
-		return persistedRun{}, false
-	}
-	var p persistedRun
-	if err := json.Unmarshal(it.Doc, &p); err != nil {
-		s.logf("server: decode history doc %s: %v", id, err)
-		return persistedRun{}, false
-	}
-	return p, true
-}
-
 // retentionLoop sweeps the retention policy until shutdown.
 func (s *Server) retentionLoop(interval time.Duration) {
 	defer s.retWg.Done()
@@ -420,9 +374,6 @@ func (s *Server) retentionLoop(interval time.Duration) {
 // check requeues that run, so the race costs a re-execution, never a
 // dangling "done" run.
 func (s *Server) SweepRetention() int {
-	if s.history == nil {
-		return 0
-	}
 	victims := s.history.SweepRetention(runstore.Retention{
 		MaxAge:   s.cfg.RetentionMaxAge,
 		MaxBytes: s.cfg.RetentionMaxBytes,
@@ -547,8 +498,8 @@ func (s *Server) execute(id string) {
 		s.met.runSeconds.Observe(time.Since(start).Seconds())
 		s.finishLocked(r, StateDone, nil)
 	case errors.Is(err, errShuttingDown):
-		// Put it back: the shutdown snapshot (or the already-journaled
-		// submission) carries it into the next process as queued.
+		// Put it back: its queued record carries it into the next
+		// process.
 		s.resetToQueuedLocked(r, "shutdown")
 	case errors.Is(err, errRunCanceled):
 		s.finishLocked(r, StateCanceled, err)
@@ -558,7 +509,7 @@ func (s *Server) execute(id string) {
 }
 
 // finishLocked moves a run to a terminal state, releasing its quota slot
-// and lease and journaling the transition. Caller holds the server mutex.
+// and lease and recording the transition. Caller holds the server mutex.
 func (s *Server) finishLocked(r *Run, state RunState, err error) {
 	r.State = state
 	if err != nil && state == StateFailed {
@@ -572,14 +523,6 @@ func (s *Server) finishLocked(r *Run, state RunState, err error) {
 		delete(s.inflight, r.Tenant)
 	}
 	s.met.runsTotal.With(string(state)).Inc()
-	kind := kindDone
-	if state == StateCanceled {
-		kind = kindCancel
-	}
-	// A failed journal append is not fatal to the run — on restart the run
-	// re-executes, which is deterministic — but it IS durability loss;
-	// journal() counts it in dyflow_server_journal_errors_total and logs.
-	s.journal(kind, r.persisted())
 	worker := r.Worker
 	if worker == "" && !r.StartedAt.IsZero() {
 		worker = "local" // local-pool execution; never set on Run.Worker
@@ -590,10 +533,12 @@ func (s *Server) finishLocked(r *Run, state RunState, err error) {
 		ev.SimSeconds = r.SimEnd.Seconds()
 	}
 	s.events.Append(r.ID, ev)
-	// Record the terminal state in the history store and release the
-	// resident entry — the run stays fully queryable (status, artifacts,
-	// analytics, result dedup) through the store's indexes.
-	if s.historyAppendLocked(r) {
+	// Record the terminal state in the run log and release the resident
+	// entry — the run stays fully queryable (status, artifacts, analytics,
+	// result dedup) through the store's indexes. A failed append is not
+	// fatal to the run (after a restart it re-executes, deterministically),
+	// but the run stays resident until a later transition records it.
+	if s.historyAppendLocked(r) == nil {
 		s.evictTerminalLocked(r)
 	}
 }
@@ -758,19 +703,18 @@ func (s *Server) Submit(tenant string, job exp.Job) (Status, error) {
 		r.simNow.Store(int64(src.SimEnd))
 		r.Artifacts = src.Artifacts
 		r.FinishedAt = time.Now()
+		// Acknowledge only a recorded run: a failed append refuses it.
+		if err := s.historyAppendLocked(r); err != nil {
+			return Status{}, s.dropRunLocked(r, err)
+		}
 		s.met.submissions.With(tenant).Inc()
 		s.met.cacheHits.With(tenant).Inc()
 		s.met.runsTotal.With(string(StateDone)).Inc()
-		if err := s.journal(kindSubmit, r.persisted()); err != nil {
-			return Status{}, s.dropRunLocked(r, err)
-		}
 		s.events.Append(r.ID, events.Event{Type: events.TypeCacheHit, Reason: src.RunID})
 		s.events.Append(r.ID, events.Event{Type: events.TypeDone, Cached: true,
 			Converged: r.Converged, SimSeconds: r.SimEnd.Seconds()})
 		st := r.status()
-		if s.historyAppendLocked(r) {
-			s.evictTerminalLocked(r)
-		}
+		s.evictTerminalLocked(r)
 		return st, nil
 	}
 
@@ -794,16 +738,15 @@ func (s *Server) Submit(tenant string, job exp.Job) (Status, error) {
 		}
 		return Status{}, s.dropRunLocked(r, err)
 	}
-	// Journal after the push succeeded but before acknowledging: a crash
+	// Record after the push succeeded but before acknowledging: a crash
 	// in the window loses only runs the client never saw accepted.
-	if err := s.journal(kindSubmit, r.persisted()); err != nil {
+	if err := s.historyAppendLocked(r); err != nil {
 		s.queue.remove(r.ID)
 		return Status{}, s.dropRunLocked(r, err)
 	}
 	s.inflight[tenant]++
 	s.met.submissions.With(tenant).Inc()
 	s.events.Append(r.ID, events.Event{Type: events.TypeQueued})
-	s.historyAppendLocked(r)
 	return r.status(), nil
 }
 
@@ -842,15 +785,13 @@ func (s *Server) dropRunLocked(r *Run, err error) error {
 // tick. Canceling a terminal run is a no-op.
 func (s *Server) Cancel(id string) (Status, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	r, ok := s.runs[id]
 	if !ok {
+		s.mu.Unlock()
 		// Evicted terminal runs cancel as the no-op they always were.
-		if p, ok := s.historyPersistedLocked(id); ok {
-			return s.applyPersisted(p).status(), nil
-		}
-		return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
+		return s.evictedStatus(id)
 	}
+	defer s.mu.Unlock()
 	if r.State.Terminal() {
 		return r.status(), nil
 	}
@@ -862,14 +803,26 @@ func (s *Server) Cancel(id string) (Status, error) {
 }
 
 // RunStatus returns one run's status — resident runs live, evicted
-// terminal runs from their history store document.
+// terminal runs from their run-log document.
 func (s *Server) RunStatus(id string) (Status, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.runs[id]; ok {
-		return r.status(), nil
+	r, ok := s.runs[id]
+	var st Status
+	if ok {
+		st = r.status()
 	}
-	if p, ok := s.historyPersistedLocked(id); ok {
+	s.mu.Unlock()
+	if ok {
+		return st, nil
+	}
+	return s.evictedStatus(id)
+}
+
+// evictedStatus serves a non-resident run's status from its run-log
+// document, read without s.mu: a run leaves the resident map only once
+// its terminal record is in the log.
+func (s *Server) evictedStatus(id string) (Status, error) {
+	if p, ok := s.historyPersisted(id); ok {
 		return s.applyPersisted(p).status(), nil
 	}
 	return Status{}, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
@@ -908,12 +861,20 @@ func (s *Server) QueryRuns(q RunQuery) (RunPage, error) {
 	if err != nil {
 		return RunPage{}, &APIError{Code: http.StatusBadRequest, Msg: err.Error()}
 	}
+	// Take the lock only to render resident runs live; decoding the
+	// recorded documents happens without it.
+	live := make(map[string]Status)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := RunPage{Runs: make([]Status, 0, len(page.Items)), NextPageToken: page.NextPageToken}
 	for _, it := range page.Items {
 		if r := s.runs[it.Meta.ID]; r != nil {
-			out.Runs = append(out.Runs, r.status())
+			live[r.ID] = r.status()
+		}
+	}
+	s.mu.Unlock()
+	out := RunPage{Runs: make([]Status, 0, len(page.Items)), NextPageToken: page.NextPageToken}
+	for _, it := range page.Items {
+		if st, ok := live[it.Meta.ID]; ok {
+			out.Runs = append(out.Runs, st)
 			continue
 		}
 		var p persistedRun
@@ -960,15 +921,18 @@ func (s *Server) Artifact(id, name string) ([]byte, error) {
 	s.mu.Lock()
 	var state RunState
 	var refs map[string]string
-	if r, ok := s.runs[id]; ok {
+	r, ok := s.runs[id]
+	if ok {
 		state, refs = r.State, r.Artifacts
-	} else if p, ok := s.historyPersistedLocked(id); ok {
-		state, refs = p.State, p.ArtifactRefs
-	} else {
-		s.mu.Unlock()
-		return nil, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
 	}
 	s.mu.Unlock()
+	if !ok {
+		p, found := s.historyPersisted(id)
+		if !found {
+			return nil, &APIError{Code: http.StatusNotFound, Msg: "no such run"}
+		}
+		state, refs = p.State, p.ArtifactRefs
+	}
 	if state != StateDone {
 		return nil, &APIError{Code: http.StatusConflict, Msg: fmt.Sprintf("run is %s, artifacts exist once it is done", state)}
 	}
@@ -1005,57 +969,37 @@ func (s *Server) Start(addr string) (string, error) {
 
 // Shutdown stops gracefully: the HTTP listener drains, running simulations
 // abort back to queued at their next progress tick, the workers exit, and
-// the full state — queued runs included — is snapshotted so the next
-// process resumes them.
+// the run log closes. Every unfinished run is already in the log, so the
+// next process resumes it.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.markStopping()
-
 	var httpErr error
 	if s.httpSrv != nil {
 		httpErr = s.httpSrv.Shutdown(ctx)
 	}
-	s.queue.close()
-	s.workers.Wait()
-	s.fleet.Close()
-	s.retWg.Wait()
-	s.drainJournal()
-
-	s.mu.Lock()
-	// Runs still leased to fleet workers go back to queued in the
-	// snapshot: the next process re-executes them exactly, and any late
-	// result upload from the old worker is rejected as stale.
-	for _, id := range s.fleet.LeasedRuns() {
-		s.fleet.Revoke(id)
-		if r := s.runs[id]; r != nil && r.State == StateRunning {
-			s.resetToQueuedLocked(r, "shutdown")
-		}
-	}
-	err := s.snapshotLocked("shutdown")
-	s.mu.Unlock()
-	if s.history != nil {
-		s.history.Close()
-	}
-	if err != nil {
-		return err
-	}
+	s.stop()
 	return httpErr
 }
 
-// Close stops hard — no snapshot, simulating a crash: recovery relies on
-// the journal alone. Tests use it to prove the kill+restart path.
+// Close stops hard, simulating a crash: in-flight requests are cut off
+// and recovery relies on the run log as it stands. Tests use it to prove
+// the kill+restart path.
 func (s *Server) Close() {
 	s.markStopping()
 	if s.httpSrv != nil {
 		s.httpSrv.Close()
 	}
+	s.stop()
+}
+
+// stop reaps the workers, the fleet manager and the retention sweeper,
+// then closes the run log.
+func (s *Server) stop() {
 	s.queue.close()
 	s.workers.Wait()
 	s.fleet.Close()
 	s.retWg.Wait()
-	s.drainJournal()
-	if s.history != nil {
-		s.history.Close()
-	}
+	s.history.Close()
 }
 
 // APIError is an error with an HTTP status.

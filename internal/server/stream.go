@@ -132,13 +132,21 @@ func (s *Server) runTerminal(id string) bool {
 // forever. Runs with a live ring (resident, or evicted this process
 // with the ring retained) are untouched.
 func (s *Server) ensureTerminalEvent(id string) {
+	m, ok := s.history.GetMeta(id)
+	if !ok || !m.Terminal {
+		return
+	}
+	var errText string
+	if m.State != string(StateDone) {
+		// The error text lives only in the document: read it before
+		// taking s.mu.
+		if p, ok := s.historyPersisted(id); ok {
+			errText = p.Err
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.runs[id] != nil || s.events.Len(id) > 0 {
-		return
-	}
-	m, ok := s.history.GetMeta(id)
-	if !ok || !m.Terminal {
 		return
 	}
 	ev := events.Event{
@@ -147,11 +155,10 @@ func (s *Server) ensureTerminalEvent(id string) {
 		At:        time.Unix(0, m.FinishedAtNs),
 		Cached:    m.Cached,
 		Converged: m.Converged,
+		Error:     errText,
 	}
 	if m.State == string(StateDone) {
 		ev.SimSeconds = time.Duration(m.SimEndNs).Seconds()
-	} else if p, ok := s.historyPersistedLocked(id); ok {
-		ev.Error = p.Err
 	}
 	s.events.Append(id, ev)
 	s.retainRingLocked(id)
