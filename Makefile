@@ -98,26 +98,25 @@ loadtest:
 # worker fleet"): the embedded coordinator keeps no local pool, three
 # spawned workers execute everything over the lease-based worker API, and
 # one worker is hard-killed mid-lease — every job must still complete via
-# lease-expiry requeue. Overwrites BENCH_serve.json with the fleet-mode
-# result (mode/lease_expiries fields record the provenance).
+# lease-expiry requeue. Writes the fleet-mode result to
+# BENCH_serve_fleet.json.
 loadtest-fleet:
 	$(GO) run -race ./cmd/dyflow-serve loadtest \
 		-clients 8 -tenants 4 -per-client 8 -seeds 6 -tenant-quota -1 \
 		-fleet 3 -worker-slots 1 -lease-ttl 400ms -kill-worker \
-		-out BENCH_serve.json
+		-out BENCH_serve_fleet.json
 
 # The fleet closed loop observed live (docs/SERVICE.md, "Watching a run
 # live"): clients tail each run's SSE event stream instead of polling
 # status, so the run counts as done only when its terminal event arrives.
 # Exercises the whole observability plane — per-run event journals, SSE
-# delivery, worker span forwarding — under the race detector. Overwrites
-# BENCH_serve.json with the streaming result (streamed_runs /
-# events_received / stream_latency_* record the provenance).
+# delivery, worker span forwarding — under the race detector. Writes the
+# streaming result to BENCH_serve_stream.json.
 loadtest-stream:
 	$(GO) run -race ./cmd/dyflow-serve loadtest \
 		-clients 8 -tenants 4 -per-client 8 -seeds 6 -tenant-quota -1 \
 		-fleet 2 -worker-slots 2 -stream \
-		-out BENCH_serve.json
+		-out BENCH_serve_stream.json
 
 # Build every example and run the quickstart end-to-end (CI smoke).
 examples:

@@ -1,7 +1,7 @@
 package runstore
 
 import (
-	"bytes"
+	"bufio"
 	"os"
 	"sort"
 	"time"
@@ -77,95 +77,80 @@ func (s *Store) compactOwned() error {
 	inputs := append([]*segment(nil), s.segs[:len(s.segs)-1]...)
 	s.mu.Unlock()
 
-	// Read every input frame (the file bytes, not re-marshaled: frames
-	// are copied verbatim so checksums carry over).
-	type cand struct {
-		fr   frame
-		data []byte
-	}
-	var cands []cand
-	var inputRecords int64
-	for _, seg := range inputs {
-		data, err := os.ReadFile(seg.path)
-		if err != nil {
-			return err
-		}
-		frames, _, _ := scanSegment(data)
-		inputRecords += int64(len(frames))
-		for _, fr := range frames {
-			cands = append(cands, cand{fr: fr, data: data[fr.off : fr.off+fr.len]})
-		}
-	}
-
-	// Decide keeps under the read lock: a record survives iff it is
-	// still its run's latest; a tombstone survives only while its run
-	// could still have records outside the inputs (it cannot — inputs
-	// are all sealed segments and tombstones are final — so registered
-	// tombstones drop here, completing the delete).
-	s.mu.RLock()
-	seen := make(map[string]bool)
-	var kept []cand
-	droppedTombs := make(map[string]uint64)
-	for _, c := range cands {
-		id := c.fr.meta.ID
-		if c.fr.meta.Tombstone {
-			if tseq, ok := s.tombs[id]; ok && tseq == c.fr.seq && s.runs[id] == nil {
-				droppedTombs[id] = tseq
-			} else if !seen[id+"\x00tomb"] {
-				seen[id+"\x00tomb"] = true
-				kept = append(kept, c)
-			}
-			continue
-		}
-		if rs := s.runs[id]; rs != nil && rs.seq == c.fr.seq && !seen[id] {
-			seen[id] = true
-			kept = append(kept, c)
-		}
-	}
-	s.mu.RUnlock()
-
 	// Write the output to a tmp, fsync, and rename over the lowest
-	// input index.
+	// input index. Inputs are read one segment at a time and their kept
+	// frames copied verbatim (checksums carry over), so the memory a
+	// compaction needs is bounded by one segment, not by the log.
 	outPath := inputs[0].path
 	tmp := outPath + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	if err := ckpt.WriteHeader(&buf); err != nil {
+	fail := func(err error) error {
 		f.Close()
 		os.Remove(tmp)
 		return err
 	}
+	w := bufio.NewWriter(f)
+	if err := ckpt.WriteHeader(w); err != nil {
+		return fail(err)
+	}
+	size := int64(w.Buffered())
 	type placed struct {
 		id  string
 		seq uint64
 		off int64
 		len int64
 	}
-	places := make([]placed, 0, len(kept))
-	for _, c := range kept {
-		places = append(places, placed{
-			id: c.fr.meta.ID, seq: c.fr.seq,
-			off: int64(buf.Len()), len: int64(len(c.data)),
-		})
-		buf.Write(c.data)
+	var places []placed
+	var inputRecords int64
+	// A record survives iff it is still its run's latest; a tombstone
+	// survives only while its run could still have records outside the
+	// inputs (it cannot — inputs are all sealed segments and tombstones
+	// are final — so registered tombstones drop here, completing the
+	// delete). seen carries across segments: after a crash an input can
+	// repeat a record another input holds.
+	seen := make(map[string]bool)
+	droppedTombs := make(map[string]uint64)
+	for _, seg := range inputs {
+		data, err := os.ReadFile(seg.path)
+		if err != nil {
+			return fail(err)
+		}
+		frames, _, _ := scanSegment(data)
+		inputRecords += int64(len(frames))
+		var kept []frame
+		s.mu.RLock()
+		for _, fr := range frames {
+			id := fr.meta.ID
+			if fr.meta.Tombstone {
+				if tseq, ok := s.tombs[id]; ok && tseq == fr.seq && s.runs[id] == nil {
+					droppedTombs[id] = tseq
+				} else if !seen[id+"\x00tomb"] {
+					seen[id+"\x00tomb"] = true
+					kept = append(kept, fr)
+				}
+			} else if rs := s.runs[id]; rs != nil && rs.seq == fr.seq && !seen[id] {
+				seen[id] = true
+				kept = append(kept, fr)
+			}
+		}
+		s.mu.RUnlock()
+		for _, fr := range kept {
+			places = append(places, placed{id: fr.meta.ID, seq: fr.seq, off: size, len: fr.len})
+			w.Write(data[fr.off : fr.off+fr.len]) // a write error sticks; Flush reports it
+			size += fr.len
+		}
 	}
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if err := w.Flush(); err != nil {
+		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+		return fail(err)
 	}
 	if err := os.Rename(tmp, outPath); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+		return fail(err)
 	}
 
 	// Swap the in-memory view: one compacted segment replaces the
@@ -182,7 +167,7 @@ func (s *Store) compactOwned() error {
 		index:   inputs[0].index,
 		path:    outPath,
 		f:       f,
-		size:    int64(buf.Len()),
+		size:    size,
 		records: int64(len(places)),
 	}
 	for _, p := range places {

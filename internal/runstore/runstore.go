@@ -268,7 +268,12 @@ func scanSegment(data []byte) (frames []frame, good int64, torn bool) {
 		if err != nil {
 			return frames, off, true
 		}
-		var e entry
+		// Decode the sequence and meta only: frames do not carry the
+		// document, so decoding it would copy every document for nothing.
+		var e struct {
+			Seq  uint64 `json:"seq"`
+			Meta Meta   `json:"meta"`
+		}
 		if rec.Kind != recordKind || json.Unmarshal(rec.Data, &e) != nil {
 			// A checksummed frame with an unparseable payload: skip it as
 			// dead bytes rather than truncating good records behind it.

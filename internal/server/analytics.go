@@ -167,10 +167,9 @@ func (s *Server) AnalyticsWithTrends(bucket time.Duration, buckets int) Analytic
 // resident copy wins.
 func (s *Server) analyticsSamples() []runSample {
 	s.mu.Lock()
-	samples := make([]runSample, 0, len(s.order))
-	resident := make(map[string]bool, len(s.order))
-	for _, id := range s.order {
-		r := s.runs[id]
+	samples := make([]runSample, 0, len(s.runs))
+	resident := make(map[string]bool, len(s.runs))
+	for id, r := range s.runs {
 		resident[id] = true
 		sm := runSample{
 			tenant: r.Tenant, scenario: r.Job.Scenario,

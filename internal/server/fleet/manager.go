@@ -3,6 +3,7 @@ package fleet
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,6 +21,9 @@ import (
 type Manager struct {
 	ttl      time.Duration
 	onExpire func(runID, workerID string)
+	// epoch is this manager's boot time, carried in every worker ID so an
+	// ID from an earlier coordinator process never matches a current one.
+	epoch string
 
 	mu        sync.Mutex
 	workers   map[string]*WorkerInfo
@@ -80,6 +84,7 @@ func NewManager(reg *obs.Registry, ttl time.Duration, onExpire func(runID, worke
 	m := &Manager{
 		ttl:      ttl,
 		onExpire: onExpire,
+		epoch:    strconv.FormatInt(time.Now().UnixNano(), 36),
 		workers:  map[string]*WorkerInfo{},
 		leases:   map[string]*Lease{},
 		metrics:  map[string]obs.Snapshot{},
@@ -141,11 +146,11 @@ func (m *Manager) sweep() {
 	}
 }
 
-// Register adds a worker and returns its ID.
+// Register adds a worker and returns its ID, worker-<epoch>-<n>.
 func (m *Manager) Register(name string, slots int) string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	id := fmt.Sprintf("worker-%04d", m.nextW)
+	id := fmt.Sprintf("worker-%s-%04d", m.epoch, m.nextW)
 	m.nextW++
 	if name == "" {
 		name = id
@@ -250,17 +255,20 @@ func (m *Manager) LeasedRuns() []string {
 }
 
 // Touch marks a worker alive without any lease activity — empty-queue
-// claim polls still prove liveness.
-func (m *Manager) Touch(workerID string) {
+// claim polls still prove liveness — and reports whether it is registered.
+func (m *Manager) Touch(workerID string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if w := m.workers[workerID]; w != nil {
+	w := m.workers[workerID]
+	if w != nil {
 		w.LastSeen = time.Now()
 	}
+	return w != nil
 }
 
 // NoteOutcome records one finished run against the worker that uploaded
-// it: outcome is "done", "failed", or "canceled".
+// it: outcome "done", "failed", or "canceled" is counted; anything else (a
+// requeued run) is not an outcome.
 func (m *Manager) NoteOutcome(workerID, outcome string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -269,12 +277,12 @@ func (m *Manager) NoteOutcome(workerID, outcome string) {
 		return
 	}
 	switch outcome {
+	case "done":
+		w.Completed++
 	case "failed":
 		w.Failed++
 	case "canceled":
 		w.Canceled++
-	default:
-		w.Completed++
 	}
 }
 

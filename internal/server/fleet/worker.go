@@ -80,6 +80,7 @@ type WorkerOptions struct {
 // by the coordinator instead of counted stale.
 type Worker struct {
 	o           WorkerOptions
+	idMu        sync.Mutex // guards id, replaced when the worker re-registers
 	id          string
 	base        string
 	client      *http.Client
@@ -161,15 +162,12 @@ func JoinFleet(o WorkerOptions) (*Worker, error) {
 
 	// Registration retries through a flaky network: workers are often
 	// started alongside (or before) the coordinator.
-	var reg RegisterResponse
-	err := w.postRetry("register", "/v1/workers/register",
-		RegisterRequest{Name: o.Name, Slots: o.Slots}, &reg, time.Now().Add(o.RegisterWait))
+	reg, err := w.join("")
 	if err != nil {
 		w.cancel()
 		close(w.pushDone)
 		return nil, fmt.Errorf("fleet: register with %s: %w", o.Coordinator, err)
 	}
-	w.id = reg.WorkerID
 	w.hbEach = time.Duration(reg.HeartbeatMs) * time.Millisecond
 	if w.hbEach <= 0 {
 		w.hbEach = time.Duration(reg.LeaseTTLMs/3) * time.Millisecond
@@ -200,7 +198,31 @@ func JoinFleet(o WorkerOptions) (*Worker, error) {
 }
 
 // ID returns the coordinator-assigned worker ID.
-func (w *Worker) ID() string { return w.id }
+func (w *Worker) ID() string {
+	w.idMu.Lock()
+	defer w.idMu.Unlock()
+	return w.id
+}
+
+// join registers with the coordinator, retrying transient failures for
+// RegisterWait, unless the worker's ID is no longer stale: JoinFleet
+// passes "", and a claim answered 404 passes the ID the restarted
+// coordinator no longer knows — slots that saw the same stale ID register
+// once between them.
+func (w *Worker) join(stale string) (RegisterResponse, error) {
+	w.idMu.Lock()
+	defer w.idMu.Unlock()
+	var reg RegisterResponse
+	if w.id != stale {
+		return reg, nil // another slot already re-registered
+	}
+	err := w.postRetry("register", "/v1/workers/register",
+		RegisterRequest{Name: w.o.Name, Slots: w.o.Slots}, &reg, time.Now().Add(w.o.RegisterWait))
+	if err == nil {
+		w.id = reg.WorkerID
+	}
+	return reg, err
+}
 
 // Registry returns the worker's metrics registry.
 func (w *Worker) Registry() *obs.Registry { return w.reg }
@@ -253,7 +275,7 @@ func (w *Worker) pushMetrics() {
 	if w.killed.Load() {
 		return // crashed workers push nothing
 	}
-	_, _ = w.postCode("/v1/workers/"+w.id+"/metrics", w.reg.Snapshot(), nil, w.callTimeout)
+	_, _ = w.postCode("/v1/workers/"+w.ID()+"/metrics", w.reg.Snapshot(), nil, w.callTimeout)
 }
 
 // slot is one claim-execute-upload loop. Claim failures back off with
@@ -299,13 +321,18 @@ func mixSeed(seed, n int64) int64 {
 }
 
 // claim asks the coordinator for a run. ok=false means the queue stayed
-// empty for the poll window. The per-call deadline covers the long-poll
-// window plus the normal RPC budget.
+// empty for the poll window, or the worker had to re-register first. The
+// per-call deadline covers the long-poll window plus the normal RPC budget.
 func (w *Worker) claim() (ClaimResponse, bool, error) {
 	var resp ClaimResponse
-	code, err := w.postCode("/v1/workers/"+w.id+"/claim",
+	id := w.ID()
+	code, err := w.postCode("/v1/workers/"+id+"/claim",
 		ClaimRequest{WaitMs: w.o.ClaimWait.Milliseconds()}, &resp,
 		w.o.ClaimWait+w.callTimeout)
+	if code == http.StatusNotFound {
+		_, err := w.join(id)
+		return resp, false, err
+	}
 	if err != nil {
 		return resp, false, err
 	}
@@ -406,7 +433,7 @@ func (w *Worker) execute(claim ClaimResponse) {
 			}
 			batch := spans.take()
 			var hb HeartbeatResponse
-			_, err := w.postCode("/v1/workers/"+w.id+"/heartbeat",
+			_, err := w.postCode("/v1/workers/"+w.ID()+"/heartbeat",
 				HeartbeatRequest{RunID: claim.RunID, LeaseID: claim.LeaseID,
 					SimNs: int64(now), Spans: batch}, &hb, w.hbTimeout)
 			if err != nil {
@@ -557,7 +584,7 @@ func (w *Worker) report(res ResultRequest, horizon time.Time) {
 		w.metRuns.With("done").Inc()
 	}
 	var resp ResultResponse
-	if err := w.postRetry("result", "/v1/workers/"+w.id+"/result", res, &resp, horizon); err != nil {
+	if err := w.postRetry("result", "/v1/workers/"+w.ID()+"/result", res, &resp, horizon); err != nil {
 		return // coordinator gone past the lease horizon; expiry handles the run
 	}
 	if resp.Accepted && !res.Requeue && res.Error == "" && !res.Canceled {
@@ -594,12 +621,6 @@ func (w *Worker) postRetry(label, path string, body, out any, deadline time.Time
 			return err
 		}
 	}
-}
-
-// post sends a JSON request once with the default per-call deadline.
-func (w *Worker) post(path string, body, out any) error {
-	_, err := w.postCode(path, body, out, w.callTimeout)
-	return err
 }
 
 // postCode sends one JSON request under a per-call deadline and decodes

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
 	"dyflow/internal/exp"
+	"dyflow/internal/server/events"
 	"dyflow/internal/server/fleet"
 )
 
@@ -275,5 +278,123 @@ func TestFleetStaleResultIgnored(t *testing.T) {
 	}
 	if v := counter(t, s, "dyflow_server_runs_total"); v != 1 {
 		t.Fatalf("runs_total = %v for 1 submission", v)
+	}
+}
+
+// TestFleetWorkerRejoinsAfterCoordinatorRestart: a worker that joined
+// before a coordinator restart (same address, same CkptDir) completes a
+// run submitted after it. The restarted coordinator does not know the old
+// worker ID, so the claim is answered 404 and the worker registers again.
+// A claim handler that instead requeued the run and looped on it never
+// reached its deadline; every bound here is a client timeout, so that
+// failure shows as a failed test, not a hang.
+func TestFleetWorkerRejoinsAfterCoordinatorRestart(t *testing.T) {
+	cfg := Config{Workers: -1, TenantQuota: -1, CkptDir: t.TempDir()}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := s1.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Two slots: both claim with the stale ID, and they re-register once.
+	w, err := fleet.JoinFleet(fleet.WorkerOptions{Coordinator: addr, Slots: 2, ClaimWait: 50 * time.Millisecond,
+		CallTimeout: time.Second, Client: &http.Client{Timeout: 2 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Kill()
+	before := w.ID()
+	s1.Close()
+
+	s2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, err := s2.Start(addr); err != nil {
+		t.Fatalf("restart on %s: %v", addr, err)
+	}
+	st, err := s2.Submit("alice", quick(400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		got, err := s2.RunStatus(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State.Terminal() {
+			if got.State != StateDone || got.Worker != w.ID() || got.Worker == before {
+				t.Fatalf("run ended %s on %q (worker was %q, now %q)", got.State, got.Worker, before, w.ID())
+			}
+			if n := len(s2.fleet.Workers()); n != 1 {
+				t.Fatalf("%d registrations after the restart, want 1", n)
+			}
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("run %s still %s 15s after the restart: the pre-restart worker never claimed it", st.ID, got.State)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestFleetShutdownRequeuesHeldRun: a fleet run aborted by shutdown goes
+// back to queued, as a local run does, instead of ending canceled. The
+// worker is told Cancel on its heartbeat after shutdown begins and reports
+// Canceled; since no client canceled the run, it stays queued with a
+// shutdown event, and the next process completes it.
+func TestFleetShutdownRequeuesHeldRun(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(Config{Workers: -1, TenantQuota: -1, CkptDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	addr := strings.TrimPrefix(ts.URL, "http://")
+	st, err := s.Submit("alice", quick(401))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := s.events.Subscribe(st.ID, 0)
+	defer sub.Close()
+
+	var reg fleet.RegisterResponse
+	if code := postFleetJSON(t, addr, "/v1/workers/register", fleet.RegisterRequest{Slots: 1}, &reg); code != http.StatusOK {
+		t.Fatalf("register: %d", code)
+	}
+	var claim fleet.ClaimResponse
+	if code := postFleetJSON(t, addr, "/v1/workers/"+reg.WorkerID+"/claim",
+		fleet.ClaimRequest{WaitMs: 10000}, &claim); code != http.StatusOK || claim.RunID != st.ID {
+		t.Fatalf("claim: %d %+v, want run %s", code, claim, st.ID)
+	}
+
+	s.markStopping()
+	var hb fleet.HeartbeatResponse
+	postFleetJSON(t, addr, "/v1/workers/"+reg.WorkerID+"/heartbeat",
+		fleet.HeartbeatRequest{RunID: st.ID, LeaseID: claim.LeaseID, SimNs: 1}, &hb)
+	if !hb.Valid || !hb.Cancel {
+		t.Fatalf("heartbeat during shutdown answered %+v, want valid + cancel", hb)
+	}
+	var res fleet.ResultResponse
+	postFleetJSON(t, addr, "/v1/workers/"+reg.WorkerID+"/result",
+		fleet.ResultRequest{RunID: st.ID, LeaseID: claim.LeaseID, Canceled: true, Error: "canceled by coordinator"}, &res)
+	if got, _ := s.RunStatus(st.ID); got.State != StateQueued {
+		t.Fatalf("run aborted by shutdown is %s, want queued", got.State)
+	}
+	awaitRunEvent(t, sub, events.TypeQueued, "shutdown")
+	ts.Close()
+	s.Close()
+
+	s2, err := New(Config{Workers: 1, TenantQuota: -1, CkptDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := await(t, s2, st.ID); got.State != StateDone {
+		t.Fatalf("run ended %s after the restart: %s", got.State, got.Error)
 	}
 }

@@ -179,7 +179,6 @@ func (s *Server) restore(dir string) error {
 		r.SimEnd = 0
 		r.FinishedAt = time.Time{}
 		s.runs[r.ID] = r
-		s.order = append(s.order, r.ID)
 		s.resetToQueuedLocked(r, "restore")
 		s.inflight[r.Tenant]++
 		s.queue.requeue(r.Shard, r.ID)

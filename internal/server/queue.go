@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"hash/fnv"
 	"strconv"
@@ -13,19 +14,24 @@ import (
 // submission handler turns it into 429 backpressure.
 var errQueueFull = errors.New("server: run queue full")
 
-// shardedQueue is the bounded run queue behind the worker pool: one FIFO
-// shard per worker slot, submissions hashed by tenant to a shard (so one
-// tenant's runs execute in submission order), workers draining their own
-// shard first and stealing from the others when it is empty. The capacity
-// bound is global — when the queue is full, submissions are rejected with
+// shardedQueue is the bounded run queue behind every executor: one FIFO
+// shard per local worker slot, submissions hashed by tenant to a shard (so
+// one tenant's runs execute in submission order), a popper draining its
+// home shard first and stealing from the others when it is empty. Local
+// slots and fleet claim handlers block in the same pop. The capacity bound
+// is global — when the queue is full, submissions are rejected with
 // backpressure rather than buffered without limit.
 type shardedQueue struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	shards [][]string // run IDs, FIFO per shard
 	size   int
 	max    int
 	closed bool
+	// wake is closed (and replaced) when a run arrives or the queue closes,
+	// waking every blocked pop; waited records that a pop holds the current
+	// channel, so pushes nobody waits for allocate nothing.
+	wake   chan struct{}
+	waited bool
 	depth  *obs.GaugeVec // dyflow_server_queue_depth{shard}
 }
 
@@ -33,9 +39,16 @@ func newShardedQueue(shards, max int, depth *obs.GaugeVec) *shardedQueue {
 	if shards < 1 {
 		shards = 1
 	}
-	q := &shardedQueue{shards: make([][]string, shards), max: max, depth: depth}
-	q.cond = sync.NewCond(&q.mu)
-	return q
+	return &shardedQueue{shards: make([][]string, shards), max: max, depth: depth, wake: make(chan struct{})}
+}
+
+// signalLocked wakes every blocked pop. Caller holds q.mu.
+func (q *shardedQueue) signalLocked() {
+	if q.waited {
+		close(q.wake)
+		q.wake = make(chan struct{})
+		q.waited = false
+	}
 }
 
 // shardFor hashes a tenant to its home shard.
@@ -62,7 +75,7 @@ func (q *shardedQueue) push(shard int, id string) error {
 	q.shards[shard] = append(q.shards[shard], id)
 	q.size++
 	q.gauge(shard)
-	q.cond.Signal()
+	q.signalLocked()
 	return nil
 }
 
@@ -84,48 +97,43 @@ func (q *shardedQueue) requeue(shard int, id string) {
 	q.shards[shard] = append([]string{id}, q.shards[shard]...)
 	q.size++
 	q.gauge(shard)
-	q.cond.Signal()
+	q.signalLocked()
 }
 
-// pop blocks until a run is available (the worker's own shard first, then
-// stealing round-robin from the others) or the queue is closed (ok=false).
-func (q *shardedQueue) pop(worker int) (string, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
+// pop blocks until a run is available — the home shard first, then
+// stealing round-robin from the others — and returns it. ok=false means
+// the queue closed, ctx ended (a claim's long-poll deadline or client
+// disconnect), or stop closed (nil never fires).
+func (q *shardedQueue) pop(ctx context.Context, home int, stop <-chan struct{}) (string, bool) {
 	for {
+		q.mu.Lock()
 		n := len(q.shards)
 		for i := 0; i < n; i++ {
-			s := (worker + i) % n
+			s := (home + i) % n
 			if len(q.shards[s]) > 0 {
 				id := q.shards[s][0]
 				q.shards[s] = q.shards[s][1:]
 				q.size--
 				q.gauge(s)
+				q.mu.Unlock()
 				return id, true
 			}
 		}
 		if q.closed {
+			q.mu.Unlock()
 			return "", false
 		}
-		q.cond.Wait()
-	}
-}
-
-// tryPopAny pops from the first non-empty shard without blocking — the
-// fleet claim handler polls it inside its own bounded wait loop.
-func (q *shardedQueue) tryPopAny() (string, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for s := range q.shards {
-		if len(q.shards[s]) > 0 {
-			id := q.shards[s][0]
-			q.shards[s] = q.shards[s][1:]
-			q.size--
-			q.gauge(s)
-			return id, true
+		wake := q.wake
+		q.waited = true
+		q.mu.Unlock()
+		select {
+		case <-wake:
+		case <-ctx.Done():
+			return "", false
+		case <-stop:
+			return "", false
 		}
 	}
-	return "", false
 }
 
 // remove deletes a queued run (cancellation), reporting whether it was
@@ -153,10 +161,10 @@ func (q *shardedQueue) depthTotal() int {
 	return q.size
 }
 
-// close wakes every blocked worker and makes pop return ok=false.
+// close wakes every blocked pop and makes pop return ok=false.
 func (q *shardedQueue) close() {
 	q.mu.Lock()
 	q.closed = true
+	q.signalLocked()
 	q.mu.Unlock()
-	q.cond.Broadcast()
 }

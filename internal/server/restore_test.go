@@ -66,9 +66,7 @@ func TestRestoreOverCapacityQueue(t *testing.T) {
 	}
 	// Kill: flag shutdown first so the released runs abort at their next
 	// progress tick instead of completing, then let Close reap the workers.
-	s1.mu.Lock()
-	s1.stopping = true
-	s1.mu.Unlock()
+	s1.markStopping()
 	close(release)
 	s1.Close()
 

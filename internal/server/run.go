@@ -46,8 +46,9 @@ type Run struct {
 	// run log, and fleet-wide sharing all reference one stored copy.
 	Artifacts map[string]string
 
-	// Worker and LeaseID identify the fleet worker holding this run while
-	// it executes remotely ("" for local worker-pool execution).
+	// Worker names the executor holding or last holding this run: "local"
+	// for a local worker slot, the fleet worker's ID otherwise ("" until
+	// claimed). LeaseID is the fleet lease it executes under ("" locally).
 	Worker  string
 	LeaseID string
 	// doneLease remembers the lease under which the run reached its
@@ -85,8 +86,9 @@ type Status struct {
 	// running, the final makespan once done.
 	SimSeconds float64 `json:"sim_seconds"`
 	Converged  bool    `json:"converged,omitempty"`
-	// Worker is the fleet worker executing the run ("" when the
-	// coordinator's local pool runs it).
+	// Worker is the executor running or having run the run: "local" for
+	// the coordinator's local pool, else the fleet worker's ID. Omitted
+	// until claimed and for runs answered from the result cache.
 	Worker string `json:"worker,omitempty"`
 
 	// Phase timestamps: SubmittedAt is admission; QueuedAt the latest

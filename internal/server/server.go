@@ -41,11 +41,10 @@ import (
 // time), far too fast to journal each tick.
 const progressEventEvery = 10 * time.Millisecond
 
-// The sentinel errors a worker's progress hook aborts a run with.
-var (
-	errRunCanceled  = errors.New("server: run canceled")
-	errShuttingDown = errors.New("server: shutting down")
-)
+// errAborted is what a local slot's progress hook stops a run with when it
+// was canceled or the server is stopping; applyOutcome tells the two apart
+// by the run's cancel flag.
+var errAborted = errors.New("server: run aborted")
 
 // Config sizes the service.
 type Config struct {
@@ -100,7 +99,9 @@ type Config struct {
 // deterministic result cache, the durable run log, the content-addressed
 // blob store, and the fleet lease manager. Runs execute either on the local
 // worker pool (cfg.Workers) or on remote fleet workers claiming over the
-// worker API — both drain the same sharded queue.
+// worker API — both block in the same queue pop and move a run through the
+// same claim (claimLocked), progress (observeProgress) and outcome
+// (applyOutcome) transitions.
 type Server struct {
 	cfg    Config
 	reg    *obs.Registry
@@ -120,17 +121,17 @@ type Server struct {
 	// s.mu); document reads happen without s.mu.
 	history *runstore.Store
 
-	// stopped closes when shutdown begins, waking SSE streams so they
-	// end instead of pinning http.Server.Shutdown to its deadline.
+	// stopped closes once when shutdown begins — the one stop signal:
+	// submissions get 503, claims 204, executing runs abort back to queued,
+	// and SSE streams end instead of pinning http.Server.Shutdown to its
+	// deadline.
 	stopped chan struct{}
 
 	mu       sync.Mutex
 	runs     map[string]*Run // resident runs: non-terminal + terminal not yet in history
-	order    []string        // resident run IDs in submission order
 	nextID   int
 	cache    map[string]cacheEntry // job key → first completed run's result
 	inflight map[string]int        // tenant → queued+running runs
-	stopping bool
 	// recentDone remembers evicted runs' terminal lease IDs (run ID →
 	// lease ID, FIFO-bounded) so a fleet worker retransmitting a result
 	// after its run left the resident map still deduplicates.
@@ -251,10 +252,6 @@ type cacheEntry struct {
 	Artifacts map[string]string
 }
 
-func cacheEntryFor(r *Run) cacheEntry {
-	return cacheEntry{RunID: r.ID, Converged: r.Converged, SimEnd: r.SimEnd, Artifacts: r.Artifacts}
-}
-
 // maxTerminalRings bounds how many evicted terminal runs keep their SSE
 // event rings for replay; older rings drop and reconnecting clients get
 // a terminal event synthesized from the history store instead.
@@ -321,12 +318,6 @@ func (s *Server) historyAppendLocked(r *Run) error {
 // holds the server mutex.
 func (s *Server) evictTerminalLocked(r *Run) {
 	delete(s.runs, r.ID)
-	for i := len(s.order) - 1; i >= 0; i-- {
-		if s.order[i] == r.ID {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
 	if r.doneLease != "" {
 		s.recentDone[r.ID] = r.doneLease
 		s.recentDoneQ = append(s.recentDoneQ, r.ID)
@@ -405,64 +396,39 @@ func (s *Server) SweepRetention() int {
 	return len(victims)
 }
 
-// worker drains its queue shard (stealing when empty) until the queue
-// closes.
+// worker is one local slot: it drains its queue shard (stealing when
+// empty) until the queue closes, executing each run in this process.
 func (s *Server) worker(slot int) {
 	defer s.workers.Done()
 	for {
-		id, ok := s.queue.pop(slot)
+		id, ok := s.queue.pop(context.Background(), slot, nil)
 		if !ok {
 			return
 		}
-		s.execute(id)
+		s.mu.Lock()
+		r := s.claimLocked(id, localWorker, "")
+		hook := s.beforeRun
+		s.mu.Unlock()
+		if r == nil {
+			continue
+		}
+		if hook != nil {
+			hook(r)
+		}
+		s.execute(r)
 	}
 }
 
-// execute runs one claimed queued run to a terminal state — or back to
-// queued if the server is shutting down underneath it.
-func (s *Server) execute(id string) {
-	s.mu.Lock()
-	r := s.runs[id]
-	if r == nil || r.State != StateQueued {
-		s.mu.Unlock()
-		return
-	}
-	if r.cancel.Load() {
-		// Canceled after the queue pop but before execution.
-		s.finishLocked(r, StateCanceled, errRunCanceled)
-		s.mu.Unlock()
-		return
-	}
-	if s.finishFromCacheLocked(r) {
-		// An identical run completed while this one sat queued (or it was
-		// requeued with orphaned artifacts) — answer from the cache.
-		s.mu.Unlock()
-		return
-	}
-	r.State = StateRunning
-	now := time.Now()
-	r.ClaimedAt = now
-	r.StartedAt = now
-	s.events.Append(id, events.Event{Type: events.TypeClaimed, Worker: "local"})
-	s.events.Append(id, events.Event{Type: events.TypeRunning, Worker: "local"})
-	s.historyAppendLocked(r)
-	hook := s.beforeRun
-	s.mu.Unlock()
+// localWorker is Run.Worker for runs a local slot executes.
+const localWorker = "local"
 
-	if hook != nil {
-		hook(r)
-	}
+// execute runs one claimed run in this process and applies its outcome.
+func (s *Server) execute(r *Run) {
 	s.met.active.Add(1)
-	start := time.Now()
 	out, err := exp.RunJob(r.Job, func(w *exp.World) error {
 		w.OnProgress = func(now sim.Time) error {
-			r.simNow.Store(int64(now))
-			s.progressEvent(r, "local", int64(now))
-			if r.cancel.Load() {
-				return errRunCanceled
-			}
-			if s.isStopping() {
-				return errShuttingDown
+			if s.observeProgress(r, localWorker, int64(now)) {
+				return errAborted
 			}
 			return nil
 		}
@@ -470,7 +436,7 @@ func (s *Server) execute(id string) {
 		// stream — the same live view a fleet worker ships via heartbeats.
 		if w.Orch != nil {
 			w.Orch.Trace.SetOnComplete(func(sp trace.Span) {
-				s.events.Append(id, events.Event{Type: events.TypeSpan, Worker: "local", Span: &sp})
+				s.events.Append(r.ID, events.Event{Type: events.TypeSpan, Worker: localWorker, Span: &sp})
 			})
 		}
 		return nil
@@ -480,40 +446,136 @@ func (s *Server) execute(id string) {
 	// Store the artifacts content-addressed before taking the run lock:
 	// blob writes may hit disk, and identical re-executions dedup to the
 	// already-stored copy.
-	var refs map[string]string
+	o := outcome{state: StateDone}
 	if err == nil {
-		refs, err = s.storeArtifacts(out.Artifacts)
+		o.converged, o.simEnd = out.Converged, out.SimEnd
+		o.artifacts, err = s.storeArtifacts(out.Artifacts)
 	}
+	switch {
+	case errors.Is(err, errAborted):
+		o.state = StateCanceled
+	case err != nil:
+		o.state, o.reason = StateFailed, err.Error()
+	}
+	s.applyOutcome(r.ID, localWorker, o)
+}
 
+// claimLocked is the one claim transition, for a local slot (worker
+// "local", no lease) and a fleet claim alike (after fleet.Grant): it takes
+// a popped run to running under worker, or finishes it without executing —
+// canceled while queued, or answerable from the result cache — and
+// returns nil. A lease granted for a run that does not execute is revoked.
+// Caller holds the server mutex.
+func (s *Server) claimLocked(id, worker, leaseID string) *Run {
+	r := s.runs[id]
+	if r == nil || r.State != StateQueued {
+		s.fleet.Revoke(id)
+		return nil
+	}
+	if r.cancel.Load() {
+		// Canceled after the queue pop but before execution.
+		s.finishLocked(r, StateCanceled, "")
+		return nil
+	}
+	if s.finishFromCacheLocked(r) {
+		// An identical run completed while this one sat queued (or it was
+		// requeued with orphaned artifacts) — answer from the cache.
+		return nil
+	}
+	r.State = StateRunning
+	r.ClaimedAt = time.Now()
+	r.StartedAt = r.ClaimedAt
+	r.Worker = worker
+	r.LeaseID = leaseID
+	s.events.Append(id, events.Event{Type: events.TypeClaimed, Worker: worker})
+	s.events.Append(id, events.Event{Type: events.TypeRunning, Worker: worker})
+	s.historyAppendLocked(r)
+	return r
+}
+
+// observeProgress is the one progress observer, fed by a local slot's
+// progress hook and by fleet heartbeats without the server mutex: it
+// stores the run's simulated time, publishes the throttled progress event,
+// and reports whether the execution should abort — the run was canceled or
+// the server is stopping.
+func (s *Server) observeProgress(r *Run, worker string, simNs int64) bool {
+	r.simNow.Store(simNs)
+	now := time.Now().UnixNano()
+	last := r.lastProgress.Load()
+	if now-last >= int64(progressEventEvery) && r.lastProgress.CompareAndSwap(last, now) {
+		s.events.Append(r.ID, events.Event{
+			Type:       events.TypeProgress,
+			Worker:     worker,
+			SimSeconds: time.Duration(simNs).Seconds(),
+		})
+	}
+	return r.cancel.Load() || s.shuttingDown()
+}
+
+// outcome is one execution's result, whichever executor ran it: state
+// StateDone (artifacts are blob digests), StateFailed (reason is the
+// error), StateCanceled (aborted), or StateQueued (requeue for reason).
+type outcome struct {
+	state     RunState
+	reason    string
+	converged bool
+	simEnd    time.Duration
+	artifacts map[string]string
+}
+
+// applyOutcome is the one outcome transition: it applies o to run id if
+// the run still executes under worker (ok=false otherwise) and returns the
+// state the run moved to plus, for a requeue, the reason. A done run whose
+// artifact digests do not all resolve is requeued (missing_blob). An
+// aborted run is canceled only if its cancel flag is set; otherwise the
+// server is stopping and the run goes back to queued without a push — its
+// queued record carries it into the next process.
+func (s *Server) applyOutcome(id, worker string, o outcome) (state RunState, reason string, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	switch {
-	case err == nil:
-		r.Converged = out.Converged
-		r.SimEnd = out.SimEnd
-		r.Artifacts = refs
-		if _, have := s.cache[r.Job.Key()]; !have {
-			s.cache[r.Job.Key()] = cacheEntryFor(r)
-		}
-		s.met.runSeconds.Observe(time.Since(start).Seconds())
-		s.finishLocked(r, StateDone, nil)
-	case errors.Is(err, errShuttingDown):
-		// Put it back: its queued record carries it into the next
-		// process.
-		s.resetToQueuedLocked(r, "shutdown")
-	case errors.Is(err, errRunCanceled):
-		s.finishLocked(r, StateCanceled, err)
-	default:
-		s.finishLocked(r, StateFailed, err)
+	r := s.runs[id]
+	if r == nil || r.State != StateRunning || r.Worker != worker {
+		return "", "", false
 	}
+	if o.state == StateDone {
+		for name, digest := range o.artifacts {
+			if !s.blobs.Has(digest) {
+				s.logf("server: result for %s references missing blob %.12s (%s); requeued", id, digest, name)
+				o.state, o.reason = StateQueued, "missing_blob"
+				break
+			}
+		}
+	}
+	switch {
+	case o.state == StateCanceled && !r.cancel.Load():
+		s.resetToQueuedLocked(r, "shutdown")
+		return StateQueued, "shutdown", true
+	case o.state == StateQueued:
+		s.resetToQueuedLocked(r, o.reason)
+		s.queue.requeue(r.Shard, r.ID)
+		return StateQueued, o.reason, true
+	case o.state == StateDone:
+		r.Converged = o.converged
+		r.SimEnd = o.simEnd
+		r.simNow.Store(int64(o.simEnd))
+		r.Artifacts = o.artifacts
+		if _, have := s.cache[r.Job.Key()]; !have {
+			s.cache[r.Job.Key()] = cacheEntry{RunID: r.ID, Converged: o.converged, SimEnd: o.simEnd, Artifacts: o.artifacts}
+		}
+		s.met.runSeconds.Observe(time.Since(r.StartedAt).Seconds())
+	}
+	r.doneLease = r.LeaseID
+	s.finishLocked(r, o.state, o.reason)
+	return o.state, "", true
 }
 
 // finishLocked moves a run to a terminal state, releasing its quota slot
-// and lease and recording the transition. Caller holds the server mutex.
-func (s *Server) finishLocked(r *Run, state RunState, err error) {
+// and lease and recording the transition; errMsg is a failed run's error.
+// Caller holds the server mutex.
+func (s *Server) finishLocked(r *Run, state RunState, errMsg string) {
 	r.State = state
-	if err != nil && state == StateFailed {
-		r.Err = err.Error()
+	if state == StateFailed {
+		r.Err = errMsg
 	}
 	r.FinishedAt = time.Now()
 	r.LeaseID = ""
@@ -523,11 +585,7 @@ func (s *Server) finishLocked(r *Run, state RunState, err error) {
 		delete(s.inflight, r.Tenant)
 	}
 	s.met.runsTotal.With(string(state)).Inc()
-	worker := r.Worker
-	if worker == "" && !r.StartedAt.IsZero() {
-		worker = "local" // local-pool execution; never set on Run.Worker
-	}
-	ev := events.Event{Type: terminalEventType(state), Worker: worker,
+	ev := events.Event{Type: terminalEventType(state), Worker: r.Worker,
 		Cached: r.Cached, Converged: r.Converged, Error: r.Err}
 	if state == StateDone {
 		ev.SimSeconds = r.SimEnd.Seconds()
@@ -573,22 +631,6 @@ func (s *Server) resetToQueuedLocked(r *Run, reason string) {
 	s.historyAppendLocked(r)
 }
 
-// progressEvent publishes a throttled TypeProgress event for a running
-// run. Called from progress hooks (local pool) and heartbeat handlers
-// (fleet) without the server mutex.
-func (s *Server) progressEvent(r *Run, worker string, simNs int64) {
-	now := time.Now().UnixNano()
-	last := r.lastProgress.Load()
-	if now-last < int64(progressEventEvery) || !r.lastProgress.CompareAndSwap(last, now) {
-		return
-	}
-	s.events.Append(r.ID, events.Event{
-		Type:       events.TypeProgress,
-		Worker:     worker,
-		SimSeconds: time.Duration(simNs).Seconds(),
-	})
-}
-
 // finishFromCacheLocked completes a claimed run from the result cache
 // when an identical job finished after this run was admitted. Reports
 // whether it did. Caller holds the server mutex.
@@ -604,7 +646,7 @@ func (s *Server) finishFromCacheLocked(r *Run) bool {
 	r.Artifacts = src.Artifacts
 	s.met.cacheHits.With(r.Tenant).Inc()
 	s.events.Append(r.ID, events.Event{Type: events.TypeCacheHit, Reason: src.RunID})
-	s.finishLocked(r, StateDone, nil)
+	s.finishLocked(r, StateDone, "")
 	return true
 }
 
@@ -622,20 +664,6 @@ func (s *Server) storeArtifacts(artifacts map[string][]byte) (map[string]string,
 	return refs, nil
 }
 
-// refsResolvable reports whether every artifact reference of a done run
-// resolves in the blob store.
-func (s *Server) refsResolvable(r *Run) bool {
-	if len(r.Artifacts) == 0 {
-		return false
-	}
-	for _, digest := range r.Artifacts {
-		if !s.blobs.Has(digest) {
-			return false
-		}
-	}
-	return true
-}
-
 // onLeaseExpire is the fleet manager's lapsed-lease callback: the worker
 // holding the run died or stalled, so the run goes back to the queue for
 // exact re-execution. Never called with the manager lock held.
@@ -648,7 +676,7 @@ func (s *Server) onLeaseExpire(runID, workerID string) {
 	}
 	if r.cancel.Load() {
 		// The worker died before observing the cancel; finish it here.
-		s.finishLocked(r, StateCanceled, errRunCanceled)
+		s.finishLocked(r, StateCanceled, "")
 		return
 	}
 	s.logf("server: lease on %s lapsed at %s; requeued", runID, workerID)
@@ -657,19 +685,23 @@ func (s *Server) onLeaseExpire(runID, workerID string) {
 	s.queue.requeue(r.Shard, runID)
 }
 
-func (s *Server) isStopping() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stopping
+// shuttingDown reports, without blocking or locking, whether shutdown
+// has begun.
+func (s *Server) shuttingDown() bool {
+	select {
+	case <-s.stopped:
+		return true
+	default:
+		return false
+	}
 }
 
-// markStopping flags shutdown and closes the stopped channel exactly
-// once, releasing any blocked SSE streams.
+// markStopping begins shutdown: it closes the stopped channel exactly
+// once. Holding the server mutex orders it against Submit.
 func (s *Server) markStopping() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.stopping {
-		s.stopping = true
+	if !s.shuttingDown() {
 		close(s.stopped)
 	}
 }
@@ -687,7 +719,7 @@ func (s *Server) Submit(tenant string, job exp.Job) (Status, error) {
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.stopping {
+	if s.shuttingDown() {
 		return Status{}, &APIError{Code: http.StatusServiceUnavailable, Msg: "server is shutting down"}
 	}
 
@@ -766,16 +798,12 @@ func (s *Server) newRunLocked(tenant string, job exp.Job) *Run {
 		QueuedAt:    now,
 	}
 	s.runs[id] = r
-	s.order = append(s.order, id)
 	return r
 }
 
 // dropRunLocked unregisters a run that failed admission and returns err.
 func (s *Server) dropRunLocked(r *Run, err error) error {
 	delete(s.runs, r.ID)
-	if n := len(s.order); n > 0 && s.order[n-1] == r.ID {
-		s.order = s.order[:n-1]
-	}
 	s.nextID--
 	return err
 }
@@ -797,7 +825,7 @@ func (s *Server) Cancel(id string) (Status, error) {
 	}
 	r.cancel.Store(true)
 	if r.State == StateQueued && s.queue.remove(id) {
-		s.finishLocked(r, StateCanceled, errRunCanceled)
+		s.finishLocked(r, StateCanceled, "")
 	}
 	return r.status(), nil
 }
@@ -901,9 +929,9 @@ func (s *Server) Runs() []Status {
 		seen[st.ID] = true
 	}
 	s.mu.Lock()
-	for _, id := range s.order {
+	for id, r := range s.runs {
 		if !seen[id] {
-			out = append(out, s.runs[id].status())
+			out = append(out, r.status())
 		}
 	}
 	s.mu.Unlock()
